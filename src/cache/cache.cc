@@ -8,7 +8,8 @@ namespace scd::cache
 
 Cache::Cache(const CacheConfig &config) : config_(config)
 {
-    SCD_ASSERT(isPowerOf2(config.blockBytes), "block size not power of 2");
+    SCD_ASSERT(isPowerOf2(config.blockBytes) && config.blockBytes >= 2,
+               "block size not a power of 2 above 1");
     SCD_ASSERT(config.associativity > 0, "zero associativity");
     uint64_t blocks = config.sizeBytes / config.blockBytes;
     SCD_ASSERT(blocks % config.associativity == 0,
@@ -42,7 +43,7 @@ Cache::access(uint64_t addr, bool write)
     uint64_t tag = tagOf(addr);
     Way *base = &ways_[set * config_.associativity];
     for (unsigned w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
+        if (base[w].tag == tag) {
             base[w].lastUse = useClock_;
             return true;
         }
@@ -52,7 +53,7 @@ Cache::access(uint64_t addr, bool write)
     unsigned victim = 0;
     bool found = false;
     for (unsigned w = 0; w < config_.associativity; ++w) {
-        if (!base[w].valid) {
+        if (base[w].tag == kEmpty) {
             victim = w;
             found = true;
             break;
@@ -72,7 +73,6 @@ Cache::access(uint64_t addr, bool write)
             }
         }
     }
-    base[victim].valid = true;
     base[victim].tag = tag;
     base[victim].lastUse = useClock_;
     return false;
@@ -85,7 +85,7 @@ Cache::probe(uint64_t addr) const
     uint64_t tag = tagOf(addr);
     const Way *base = &ways_[set * config_.associativity];
     for (unsigned w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].tag == tag)
             return true;
     }
     return false;
@@ -95,7 +95,7 @@ void
 Cache::flush()
 {
     for (Way &w : ways_)
-        w.valid = false;
+        w.tag = kEmpty;
 }
 
 void

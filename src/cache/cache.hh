@@ -68,10 +68,13 @@ class Cache
     void exportStats(StatGroup &group) const;
 
   private:
+    /** An empty way's tag: no block address (addr >> blockShift_, with
+     *  blockShift_ >= 1) can equal it, so a hit needs one compare. */
+    static constexpr uint64_t kEmpty = UINT64_MAX;
+
     struct Way
     {
-        uint64_t tag = 0;
-        bool valid = false;
+        uint64_t tag = kEmpty;
         uint64_t lastUse = 0;
     };
 

@@ -82,7 +82,10 @@ class Core
 
     /**
      * Run until the guest exits or @p maxInstructions retire
-     * (0 = unlimited).
+     * (0 = unlimited). Under a timing model this steps the reference
+     * interpreter and retires one instruction at a time: the oracle the
+     * replay engine (harness/replay.hh) is checked against with
+     * --no-replay, and the path of instruction-limited points.
      */
     RunResult run(uint64_t maxInstructions = 0);
 

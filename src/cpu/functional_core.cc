@@ -587,14 +587,8 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
     hs.pc = nextPc;
 
     if constexpr (kHasRi) {
-        ri->pc = pc;
-        ri->nextPc = nextPc;
-        ri->flags = flags;
-        ri->rd = inst.rd;
-        ri->rs1 = inst.rs1;
-        ri->rs2 = inst.rs2;
-        ri->bank = inst.bank;
-        ri->op = static_cast<uint8_t>(inst.op);
+        beginRetire(*ri, pc, nextPc, flags, inst.rd, inst.rs1, inst.rs2,
+                    inst.bank, static_cast<uint8_t>(inst.op));
         ri->ctrl = ctrl;
         ri->lat = lat;
         ri->cls = cls;
@@ -612,7 +606,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         ri->bopHit = bopHit;
         ri->jteInsert = jteIns;
         ri->jteOpcode = jteOpcode;
-        ri->jteTarget = nextPc;
     }
     return !exited_;
 }

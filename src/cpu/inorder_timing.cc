@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "isa/instruction.hh"
 
@@ -16,9 +17,16 @@ static_assert(uint8_t(BranchClass::IndirectDispatch) ==
 InOrderTiming::InOrderTiming(const CoreConfig &config)
     : config_(config),
       width_(config.issueWidth),
+      fetchBlockShift_(floorLog2(config.icache.blockBytes)),
       itlb_(config.itlbEntries),
       dtlb_(config.dtlbEntries)
 {
+    latency_[size_t(LatClass::Alu)] = config.aluLatency;
+    latency_[size_t(LatClass::Mul)] = config.mulLatency;
+    latency_[size_t(LatClass::Div)] = config.divLatency;
+    latency_[size_t(LatClass::Fp)] = config.fpLatency;
+    latency_[size_t(LatClass::FpDiv)] = config.fpDivLatency;
+    latency_[size_t(LatClass::Load)] = 0; // from the data access
     frontend_ = branch::makeFrontendModel(config.frontend, config.btb);
     // Devirtualize the default path. Gate on the configuration, not on
     // idealBtb() alone: FDIP-over-ideal forwards idealBtb() for
@@ -93,11 +101,8 @@ InOrderTiming::jteFlush()
 }
 
 void
-InOrderTiming::chargeFetch(uint64_t pc)
+InOrderTiming::fetchBlock(uint64_t pc, uint64_t block)
 {
-    uint64_t block = pc / config_.icache.blockBytes;
-    if (block == lastFetchBlock_)
-        return;
     lastFetchBlock_ = block;
     uint64_t page = pc >> 12;
     if (page != lastFetchPage_) {
@@ -205,17 +210,9 @@ InOrderTiming::retire(const RetireInfo &ri)
     cycle_ = issueAt;
 
     // ---- execute: memory and result latency ------------------------------
-    uint64_t resultLatency;
-    switch (ri.lat) {
-      case LatClass::Mul: resultLatency = config_.mulLatency; break;
-      case LatClass::Div: resultLatency = config_.divLatency; break;
-      case LatClass::Fp: resultLatency = config_.fpLatency; break;
-      case LatClass::FpDiv: resultLatency = config_.fpDivLatency; break;
-      case LatClass::Load:
-        resultLatency = dataAccess(ri.memAddr, false);
-        break;
-      default: resultLatency = config_.aluLatency; break;
-    }
+    uint64_t resultLatency = ri.lat == LatClass::Load
+                                 ? dataAccess(ri.memAddr, false)
+                                 : latency_[size_t(ri.lat)];
     if (ri.memIsStore) {
         uint64_t lat = dataAccess(ri.memAddr, true);
         // A store miss stalls the (blocking) memory stage.
@@ -313,7 +310,7 @@ InOrderTiming::retire(const RetireInfo &ri)
         if (ri.jteInsert) {
             SCD_TRACE_HOOK(trace_, obs::TraceEventKind::JteInsert, ri.pc,
                            ri.jteOpcode, ri.op, uint8_t(ri.cls));
-            jteInsert(ri.bank, ri.jteOpcode, ri.jteTarget);
+            jteInsert(ri.bank, ri.jteOpcode, ri.nextPc);
         }
         recordMiss(ri, mispredict);
         if (mispredict)

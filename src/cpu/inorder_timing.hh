@@ -79,7 +79,15 @@ class InOrderTiming : public TimingModel
     void setIssueWidth(unsigned width) { width_ = width; }
 
   private:
-    void chargeFetch(uint64_t pc);
+    /** Charge the I-side for fetching @p pc; free inside the last block. */
+    void
+    chargeFetch(uint64_t pc)
+    {
+        uint64_t block = pc >> fetchBlockShift_;
+        if (block != lastFetchBlock_)
+            fetchBlock(pc, block);
+    }
+    void fetchBlock(uint64_t pc, uint64_t block);
     uint64_t dataAccess(uint64_t addr, bool write);
     void redirect(unsigned penalty);
     void recordMiss(const RetireInfo &ri, bool mispredicted);
@@ -110,6 +118,8 @@ class InOrderTiming : public TimingModel
 
     const CoreConfig &config_;
     unsigned width_;
+    unsigned fetchBlockShift_; ///< log2 of the I-cache block size
+    uint64_t latency_[size_t(LatClass::Load) + 1]; ///< by LatClass (not Load)
     obs::TraceBuffer *trace_ = nullptr;
 
     // Cycle accounting.

@@ -57,7 +57,12 @@ enum class LatClass : uint8_t
     Load,  ///< latency comes from the data-memory access
 };
 
-/** One retired instruction, as consumed by TimingModel::retire(). */
+/**
+ * One retired instruction, as consumed by TimingModel::retire(). The
+ * recorders write one per guest instruction and every replay consumer
+ * reads it back, so the fields are ordered to leave no padding (80
+ * bytes).
+ */
 struct RetireInfo
 {
     uint64_t pc = 0;      ///< fetch PC of the instruction
@@ -81,13 +86,13 @@ struct RetireInfo
 
     bool hasMem = false;    ///< performed a data-memory access
     bool memIsStore = false;
-    uint64_t memAddr = 0;
-
     int16_t hintReg = -1;   ///< VBBI hint register of a marked jalr
-    uint64_t hintValue = 0; ///< hint register's value at execute
 
     /** bop: fetch-stall cycles because the Rop producer was in flight. */
     uint32_t ropStall = 0;
+
+    uint64_t memAddr = 0;
+    uint64_t hintValue = 0; ///< hint register's value at execute
 
     /**
      * bop: an eligible bop probed the JTE port (and, on a hit, nextPc is
@@ -102,8 +107,56 @@ struct RetireInfo
     /** jru: a JTE insertion to perform (after the PC-BTB update). */
     bool jteInsert = false;
     uint64_t jteOpcode = 0; ///< masked Rop value keying the JTE
+
+    /**
+     * Always equal to nextPc; the simulator reads nextPc instead. Kept
+     * only because perfbench/src/layers.cc still reads it.
+     */
     uint64_t jteTarget = 0;
 };
+
+/**
+ * Start the record of one retiring instruction: the identity fields from
+ * the arguments, every other field at its declared default. Both
+ * recorders — FunctionalCore::stepImpl and the threaded tier's handlers —
+ * begin every record here and then store only what their instruction
+ * changes, so a field added to RetireInfo gets its default in one place.
+ *
+ * The defaults are explicit member stores, not `ri = RetireInfo{}`: GCC
+ * lowers that value-init to a `rep stosq` over the whole record, whose
+ * start-up cost roughly tripled the cost of a recorded instruction.
+ */
+inline void
+beginRetire(RetireInfo &ri, uint64_t pc, uint64_t nextPc, uint32_t flags,
+            uint8_t rd, uint8_t rs1, uint8_t rs2, uint8_t bank, uint8_t op)
+{
+    ri.pc = pc;
+    ri.nextPc = nextPc;
+    ri.flags = flags;
+    ri.rd = rd;
+    ri.rs1 = rs1;
+    ri.rs2 = rs2;
+    ri.bank = bank;
+    ri.op = op;
+    ri.ctrl = CtrlKind::None;
+    ri.lat = LatClass::Alu;
+    ri.cls = BranchClass::Conditional;
+    ri.taken = false;
+    ri.isReturn = false;
+    ri.writesInt = false;
+    ri.writesFp = false;
+    ri.hasMem = false;
+    ri.memIsStore = false;
+    ri.memAddr = 0;
+    ri.hintReg = -1;
+    ri.hintValue = 0;
+    ri.ropStall = 0;
+    ri.bopProbed = false;
+    ri.bopHit = false;
+    ri.jteInsert = false;
+    ri.jteOpcode = 0;
+    ri.jteTarget = nextPc;
+}
 
 } // namespace scd::cpu
 

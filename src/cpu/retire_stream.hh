@@ -5,10 +5,10 @@
  * A replay group executes one FunctionalCore per unique functional key
  * and fans the retired-instruction stream out to every timing model in
  * the group. The stream never exists in full: the producer fills one
- * RetireChunk at a time from a small bounded ring (RetireStream), each
- * consumer drains it, and the chunk is reused — memory stays flat however
- * long the run is, and a chunk is small enough to stay cache-resident
- * while every consumer walks it.
+ * RetireChunk at a time (RetireStream), each consumer drains it, and the
+ * chunk is reused — memory stays flat however long the run is, and a
+ * chunk is small enough to stay cache-resident while every consumer
+ * walks it.
  *
  * The single timing-to-functional feedback edge is bop's mid-instruction
  * JTE probe, whose outcome depends on each consumer's own JTE state. The
@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/stats.hh"
 #include "retire_info.hh"
@@ -39,43 +38,45 @@ namespace scd::cpu
 {
 
 /**
- * One span of consecutively retired instructions. 2048 entries keeps a
- * chunk (~200KB) within L2 so the producer's stores are still warm when
- * each consumer streams through them.
+ * One span of consecutively retired instructions. 256 entries (20 KB)
+ * keep a chunk inside L1: the producer's stores and every consumer's
+ * loads hit the same lines, while the per-chunk hand-off still costs
+ * under a nanosecond per instruction.
+ *
+ * A refill does not value-initialize the entries: the recorders begin
+ * every record with cpu::beginRetire, which stores each field's default
+ * explicitly, so entries [0, count) never hold a previous fill's bytes.
+ * A `RetireInfo{}` per record would cost a `rep stosq` per retired
+ * instruction (tests/dispatch_tier_test.cc fills the chunk with junk to
+ * pin this).
  */
 struct RetireChunk
 {
-    static constexpr size_t kCapacity = 2048;
+    static constexpr size_t kCapacity = 256;
 
     RetireInfo entries[kCapacity];
     size_t count = 0;
 };
 
 /**
- * The bounded chunk ring between one producer and its consumers. The
- * group scheduler runs producer and consumers in lockstep inside one
- * task (produce a chunk, let every live consumer drain it, reuse it), so
- * the ring needs no synchronization — it exists to bound memory and to
- * keep the hand-off pattern explicit.
+ * The hand-off buffer between one producer and its consumers. The group
+ * scheduler runs producer and consumers in lockstep inside one task
+ * (produce a chunk, let every live consumer drain it, reuse it), so one
+ * chunk needs no synchronization and bounds memory however long the run.
  */
 class RetireStream
 {
   public:
-    explicit RetireStream(size_t chunks = 2) : chunks_(chunks) {}
-
-    /** The chunk to fill next; overwrites the oldest slot. */
+    /** The chunk to fill next; the previous fill has been consumed. */
     RetireChunk &
     produceSlot()
     {
-        RetireChunk &chunk = chunks_[next_];
-        next_ = (next_ + 1) % chunks_.size();
-        chunk.count = 0;
-        return chunk;
+        chunk_.count = 0;
+        return chunk_;
     }
 
   private:
-    std::vector<RetireChunk> chunks_;
-    size_t next_ = 0;
+    RetireChunk chunk_;
 };
 
 /**

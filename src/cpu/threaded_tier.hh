@@ -57,7 +57,7 @@ struct ThreadedCacheStats
 {
     uint64_t hits = 0;     ///< translations served from the cache
     uint64_t compiles = 0; ///< translations built (misses + invalidations)
-    uint64_t entries = 0;  ///< live cached programs
+    uint64_t entries = 0;  ///< cached programs (most recently used)
 };
 
 ThreadedCacheStats threadedCacheStats();

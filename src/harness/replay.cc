@@ -276,13 +276,14 @@ consumeScd(Member &m, const cpu::RetireChunk &chunk)
 }
 
 /**
- * Execute one multi-member group: one producer run, every member's
- * timing model stepped off the shared stream in lockstep, chunk by
- * chunk. Contained: any failure of the shared producer (guest error,
- * watchdog timeout, injected fault) falls every member back onto its
- * own one-shot direct execution — surviving fallbacks are recorded as
- * PointStatus::Degraded, so a poisoned group never takes down the
- * plan, but never masquerades as a clean run either.
+ * Execute one replay group, a group of one included: one producer run,
+ * every member's timing model stepped off the shared stream in
+ * lockstep, chunk by chunk. Contained: any failure of the shared
+ * producer (guest error, watchdog timeout, injected fault) falls every
+ * member back onto its own one-shot direct execution — surviving
+ * fallbacks are recorded as PointStatus::Degraded, so a poisoned group
+ * never takes down the plan, but never masquerades as a clean run
+ * either.
  */
 void
 runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
@@ -340,15 +341,24 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
         cpu::RetireStream stream;
         double producerSeconds = 0.0;
         bool exhausted = false;
+        // One clock read per hand-off: each read closes the interval the
+        // previous one opened (the fill, then each member's drain).
+        auto mark = steady::now();
+        auto lap = [&mark] {
+            auto now = steady::now();
+            double seconds =
+                std::chrono::duration<double>(now - mark).count();
+            mark = now;
+            return seconds;
+        };
         while (!exhausted) {
             SCD_FAULT_POINT("replay-ring");
             cpu::RetireChunk &chunk = stream.produceSlot();
-            auto fillStart = steady::now();
             chunk.count = func.runRecorded(chunk.entries,
                                            cpu::RetireChunk::kCapacity);
             if (func.exited() || chunk.count == 0)
                 exhausted = true;
-            producerSeconds += secondsSince(fillStart);
+            producerSeconds += lap();
             // Cooperative cancellation, checked once per chunk (the
             // fill is bounded by the chunk capacity, the drains by the
             // fill).
@@ -358,12 +368,11 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
             for (Member &m : members) {
                 if (m.copyOf >= 0 || m.fellBack)
                     continue;
-                auto drainStart = steady::now();
                 if (scdGroup)
                     consumeScd(m, chunk);
                 else
                     m.timing->consume(chunk.entries, chunk.count);
-                m.seconds += secondsSince(drainStart);
+                m.seconds += lap();
                 if (!m.fellBack)
                     anyLive = true;
             }
@@ -597,40 +606,36 @@ void
 runPlanReplay(ExperimentSet &set, const std::vector<size_t> &pending,
               const RunOptions &options, RunJournal *journal)
 {
-    // Group pending points by functional key. Points the stream cannot
+    // Group pending points by functional key; every group, a group of
+    // one included, runs as one replay task. Points the stream cannot
     // describe — instruction-limited runs (their stop point depends on
     // the member's own retire count) and functional-only timing
     // (NullTiming replays nothing, its JTE state lives on the producer
-    // side) — run direct as singleton tasks, as do groups of one.
+    // side) — run direct.
     std::map<std::string, std::vector<size_t>> byKey;
     std::vector<std::vector<size_t>> tasks;
-    std::vector<size_t> singles;
+    std::vector<size_t> direct;
     for (size_t i : pending) {
         const ExperimentPoint &p = set.points[i];
         SCD_ASSERT(p.workload, "experiment point without a workload");
         if (p.maxInstructions != 0 ||
             p.machine.timingKind == cpu::TimingKind::Null) {
-            singles.push_back(i);
+            direct.push_back(i);
             continue;
         }
         byKey[replayGroupKey(p)].push_back(i);
     }
-    for (auto &entry : byKey) {
-        if (entry.second.size() == 1)
-            singles.push_back(entry.second.front());
-        else
-            tasks.push_back(std::move(entry.second));
-    }
+    for (auto &entry : byKey)
+        tasks.push_back(std::move(entry.second));
 
     // Tasks [0, groupTasks) are replay groups (one producer, shared
-    // stream); the rest are contiguous batches of direct-path singleton
-    // points, batched for the same task-overhead reason as
-    // runPlanDirect().
+    // stream); the rest are contiguous batches of direct points, batched
+    // for the same task-overhead reason as runPlanDirect().
     const size_t groupTasks = tasks.size();
     set.jobs = resolveJobs(options.jobs);
-    for (auto [lo, hi] : batchRanges(singles.size(), set.jobs)) {
-        tasks.emplace_back(singles.begin() + ptrdiff_t(lo),
-                           singles.begin() + ptrdiff_t(hi));
+    for (auto [lo, hi] : batchRanges(direct.size(), set.jobs)) {
+        tasks.emplace_back(direct.begin() + ptrdiff_t(lo),
+                           direct.begin() + ptrdiff_t(hi));
     }
     if (tasks.size() < set.jobs)
         set.jobs = tasks.empty() ? 1 : unsigned(tasks.size());

@@ -8,10 +8,14 @@
  * stream on every machine configuration. runPlanReplay() executes each
  * such group's FunctionalCore once and feeds the recorded stream to
  * every member's timing model, so a 16-machine sensitivity sweep pays
- * for one functional execution instead of sixteen. Results are
- * bit-identical to direct execution (tests/replay_test.cc); the
- * --no-replay escape hatch and the SCD_NO_REPLAY environment variable
- * select the direct path for cross-checking.
+ * for one functional execution instead of sixteen. A group of one takes
+ * the same path — its producer records on the threaded tier, which is
+ * cheaper than stepping the reference interpreter per instruction — so
+ * every timed point replays except instruction-limited ones; Null-timing
+ * points run runFunctional directly. Results are bit-identical to direct
+ * execution (tests/replay_test.cc); the --no-replay escape hatch and the
+ * SCD_NO_REPLAY environment variable select the direct path for
+ * cross-checking.
  */
 
 #ifndef SCD_HARNESS_REPLAY_HH
@@ -28,7 +32,9 @@ class RunJournal;
 bool replayEnabled(const RunOptions &options);
 
 /**
- * Execute one point directly (no replay), timing its wall clock.
+ * Execute one point directly (no replay), timing its wall clock: the
+ * per-instruction Core::run oracle for timed points, runFunctional for
+ * Null-timing ones.
  * Failures propagate as exceptions; runPlan() wraps this in the
  * containment layer (runPointContained).
  */

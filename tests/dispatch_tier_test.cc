@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -170,6 +171,54 @@ TEST(DispatchTier, LockstepStreamsMatchAcrossVmsSchemesAndWorkloads)
                                 core::withScheme(minorConfig(), scheme));
                 if (::testing::Test::HasFailure())
                     return;
+            }
+        }
+    }
+}
+
+/**
+ * The recorders do not value-initialize a record: cpu::beginRetire stores
+ * every field's default explicitly. Fill the chunk with a junk pattern
+ * before every runRecorded() call on both recording tiers and compare
+ * each record with a fresh step() of the reference interpreter — a
+ * default the recorders forget shows up as the previous chunk's bytes.
+ */
+TEST(DispatchTier, RecordedFieldsIgnoreStaleChunkContents)
+{
+    auto chunk = std::make_unique<cpu::RetireChunk>();
+    for (const char *name : {"fibo", "n-body", "k-nucleotide"}) {
+        for (VmKind vm : {VmKind::Rlua, VmKind::Sjs}) {
+            for (core::Scheme scheme : kSchemes) {
+                auto program =
+                    compileGuest(vm, workload(name).text(InputSize::Test),
+                                 dispatchForScheme(scheme));
+                cpu::CoreConfig machine =
+                    core::withScheme(minorConfig(), scheme);
+                for (DispatchTier tier :
+                     {DispatchTier::Switch, DispatchTier::Threaded}) {
+                    SCOPED_TRACE(std::string(vmName(vm)) + "/" + name +
+                                 "/" + core::schemeName(scheme) + " on " +
+                                 cpu::dispatchTierName(tier));
+                    TierRun ref(*program, machine, DispatchTier::Switch);
+                    TierRun rec(*program, machine, tier);
+                    for (;;) {
+                        std::memset(static_cast<void *>(chunk->entries),
+                                    0xA5, sizeof(chunk->entries));
+                        size_t n = rec.core->runRecorded(
+                            chunk->entries, cpu::RetireChunk::kCapacity);
+                        for (size_t i = 0; i < n; ++i) {
+                            cpu::RetireInfo want;
+                            ref.core->step(&want);
+                            expectSameRetire(chunk->entries[i], want);
+                            if (::testing::Test::HasFailure())
+                                return;
+                        }
+                        if (rec.core->exited() || n == 0)
+                            break;
+                    }
+                    EXPECT_TRUE(ref.core->exited());
+                    EXPECT_EQ(rec.core->retired(), ref.core->retired());
+                }
             }
         }
     }

@@ -106,6 +106,30 @@ TEST(FaultContainment, GuestTrapContainedOnReplayPath)
     EXPECT_EQ(reportTroubledPoints({&set}), 2);
 }
 
+/**
+ * A trapping point with a functional key of its own is a replay group of
+ * one: its producer traps, the direct fallback traps again, and the
+ * point ends Failed with a diagnostic naming both attempts.
+ */
+TEST(FaultContainment, GuestTrapContainedInSingleMemberGroup)
+{
+    ExperimentPlan plan;
+    plan.add(point(trapWorkload(), core::Scheme::Scd, minorConfig()));
+
+    RunOptions options;
+    options.jobs = 1;
+    options.replay = true;
+    ExperimentSet set = runPlan(plan, options);
+
+    ASSERT_EQ(set.runs.size(), 1u);
+    EXPECT_EQ(set.runs[0].status, PointStatus::Failed);
+    const std::string &error = set.runs[0].error;
+    EXPECT_NE(error.find("(replay group"), std::string::npos) << error;
+    EXPECT_NE(error.find("direct fallback: guest exited"), std::string::npos)
+        << error;
+    EXPECT_EQ(reportTroubledPoints({&set}), 2);
+}
+
 /** A tiny per-point deadline classifies points TimedOut, not Failed. */
 TEST(FaultContainment, TimeoutClassifiedAsTimedOut)
 {

@@ -4,9 +4,9 @@
  * (src/harness/replay.hh): replayed runs must be byte-identical to
  * direct execution — cycle counts, the full stat group, and the --json
  * export — across every dispatch scheme and a spread of machine
- * configurations on both VMs; and the guest compile cache must compile
- * each (vm, workload, dispatch kind) exactly once however many points
- * share it.
+ * configurations on both VMs, for multi-member groups and groups of one
+ * alike; and the guest compile cache must compile each (vm, workload,
+ * dispatch kind) exactly once however many points share it.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "harness/experiment.hh"
 #include "harness/json_export.hh"
 #include "harness/machines.hh"
+#include "harness/replay.hh"
 #include "harness/runner.hh"
 #include "obs/stats_sink.hh"
 
@@ -59,6 +60,19 @@ replayMachines()
     return machines;
 }
 
+ExperimentPoint
+makePoint(VmKind vm, const std::string &name, core::Scheme scheme,
+          const cpu::CoreConfig &machine)
+{
+    ExperimentPoint p;
+    p.vm = vm;
+    p.workload = &workload(name);
+    p.size = InputSize::Test;
+    p.scheme = scheme;
+    p.machine = machine;
+    return p;
+}
+
 /** All schemes x all replayMachines() x both VMs over kWorkloads. */
 ExperimentPlan
 matrixPlan()
@@ -67,35 +81,34 @@ matrixPlan()
     for (const cpu::CoreConfig &machine : replayMachines()) {
         for (VmKind vm : {VmKind::Rlua, VmKind::Sjs}) {
             for (const auto &name : kWorkloads) {
-                for (core::Scheme scheme : kSchemes) {
-                    ExperimentPoint p;
-                    p.vm = vm;
-                    p.workload = &workload(name);
-                    p.size = InputSize::Test;
-                    p.scheme = scheme;
-                    p.machine = machine;
-                    plan.add(std::move(p));
-                }
+                for (core::Scheme scheme : kSchemes)
+                    plan.add(makePoint(vm, name, scheme, machine));
             }
         }
     }
     return plan;
 }
 
-TEST(Replay, ByteIdenticalToDirectAcrossSchemesAndMachines)
+/**
+ * Run @p plan direct and replayed; cycles, the full stat group, and the
+ * --json export must be byte-identical.
+ */
+void
+expectReplayMatchesDirect(const ExperimentPlan &plan, unsigned jobs)
 {
-    ExperimentPlan plan = matrixPlan();
     RunOptions direct;
-    direct.jobs = 4;
+    direct.jobs = jobs;
     direct.replay = false;
     RunOptions replay;
-    replay.jobs = 4;
+    replay.jobs = jobs;
     replay.replay = true;
     ExperimentSet a = runPlan(plan, direct);
     ExperimentSet b = runPlan(plan, replay);
     ASSERT_EQ(a.points.size(), b.points.size());
     for (size_t i = 0; i < a.points.size(); ++i) {
         SCOPED_TRACE(a.points[i].label());
+        ASSERT_EQ(a.runs[i].status, PointStatus::Ok) << a.runs[i].error;
+        ASSERT_EQ(b.runs[i].status, PointStatus::Ok) << b.runs[i].error;
         EXPECT_EQ(a.at(i).run.cycles, b.at(i).run.cycles);
         EXPECT_EQ(a.at(i).run.instructions, b.at(i).run.instructions);
         EXPECT_EQ(a.at(i).run.exitCode, b.at(i).run.exitCode);
@@ -110,6 +123,44 @@ TEST(Replay, ByteIdenticalToDirectAcrossSchemesAndMachines)
     exportSet(directSink, "matrix", a);
     exportSet(replaySink, "matrix", b);
     EXPECT_EQ(directSink.render(), replaySink.render());
+}
+
+TEST(Replay, ByteIdenticalToDirectAcrossSchemesAndMachines)
+{
+    expectReplayMatchesDirect(matrixPlan(), 4);
+}
+
+/**
+ * Groups of one ride the replay stream too (the Fig. 7-10 grid is
+ * mostly such groups). Every point here has a functional key of its own:
+ * the four schemes on both VMs on the minor core, a wide in-order
+ * (Cortex-A8-like) point, and a multi-level-BTB + FDIP frontend point.
+ * Baseline and VBBI share an interpreter binary, so they take different
+ * workloads to stay apart.
+ */
+TEST(Replay, SingleMemberGroupsMatchDirect)
+{
+    ExperimentPlan plan;
+    for (VmKind vm : {VmKind::Rlua, VmKind::Sjs}) {
+        plan.add(makePoint(vm, "fibo", core::Scheme::Baseline,
+                           minorConfig()));
+        plan.add(makePoint(vm, "n-sieve", core::Scheme::Vbbi,
+                           minorConfig()));
+        plan.add(makePoint(vm, "fibo", core::Scheme::JumpThreading,
+                           minorConfig()));
+        plan.add(makePoint(vm, "fibo", core::Scheme::Scd, minorConfig()));
+    }
+    plan.add(makePoint(VmKind::Rlua, "n-sieve", core::Scheme::JumpThreading,
+                       cortexA8Config()));
+    plan.add(makePoint(VmKind::Sjs, "n-sieve", core::Scheme::Scd,
+                       withFrontend(minorConfig(), "mlbtb+fdip")));
+
+    std::set<std::string> keys;
+    for (const ExperimentPoint &p : plan.points())
+        keys.insert(replayGroupKey(p));
+    ASSERT_EQ(keys.size(), plan.size()) << "a point shares its group";
+
+    expectReplayMatchesDirect(plan, 2);
 }
 
 TEST(Replay, InstructionLimitedPointsMatchDirect)
