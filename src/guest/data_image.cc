@@ -7,41 +7,43 @@
 namespace scd::guest
 {
 
-DataImage::DataImage(uint64_t base) : base_(base)
+DataImage::DataImage(uint64_t base)
+    : base_(base), denseBase_(base + uint64_t(kInternCapacity) * 8)
 {
-    internTable_ = allocate(uint64_t(kInternCapacity) * 8);
 }
 
 uint64_t
 DataImage::allocate(uint64_t size, uint64_t align)
 {
-    uint64_t cur = base_ + bytes_.size();
-    uint64_t aligned = (cur + align - 1) & ~(align - 1);
-    bytes_.resize(aligned - base_ + size, 0);
+    uint64_t aligned = (end() + align - 1) & ~(align - 1);
+    dense_.resize(aligned - denseBase_ + size, 0);
     return aligned;
+}
+
+size_t
+DataImage::denseOffset(uint64_t addr, uint64_t size) const
+{
+    SCD_ASSERT(addr >= denseBase_ && addr + size <= end(),
+               "data access out of range");
+    return addr - denseBase_;
 }
 
 void
 DataImage::write8(uint64_t addr, uint8_t v)
 {
-    SCD_ASSERT(addr >= base_ && addr < end(), "data write out of range");
-    bytes_[addr - base_] = v;
+    dense_[denseOffset(addr, 1)] = v;
 }
 
 void
 DataImage::write32(uint64_t addr, uint32_t v)
 {
-    SCD_ASSERT(addr >= base_ && addr + 4 <= end(),
-               "data write out of range");
-    std::memcpy(&bytes_[addr - base_], &v, 4);
+    std::memcpy(&dense_[denseOffset(addr, 4)], &v, 4);
 }
 
 void
 DataImage::write64(uint64_t addr, uint64_t v)
 {
-    SCD_ASSERT(addr >= base_ && addr + 8 <= end(),
-               "data write out of range");
-    std::memcpy(&bytes_[addr - base_], &v, 8);
+    std::memcpy(&dense_[denseOffset(addr, 8)], &v, 8);
 }
 
 void
@@ -49,6 +51,20 @@ DataImage::writeTValue(uint64_t addr, int64_t tag, uint64_t payload)
 {
     write64(addr, static_cast<uint64_t>(tag));
     write64(addr + 8, payload);
+}
+
+uint64_t
+DataImage::read64(uint64_t addr) const
+{
+    if (addr < denseBase_) {
+        SCD_ASSERT(addr >= base_ && (addr - base_) % 8 == 0,
+                   "data read out of range");
+        auto it = internSlots_.find((addr - base_) / 8);
+        return it == internSlots_.end() ? 0 : it->second;
+    }
+    uint64_t v;
+    std::memcpy(&v, &dense_[denseOffset(addr, 8)], 8);
+    return v;
 }
 
 uint64_t
@@ -67,20 +83,32 @@ DataImage::internString(const std::string &s)
 
     // Insert into the open-addressed intern table (linear probing), the
     // same probe sequence the guest runtime walks.
+    if (internSlots_.size() == kInternCapacity)
+        panic("intern table full at build time");
     uint64_t mask = kInternCapacity - 1;
     uint64_t idx = hash & mask;
-    for (unsigned probes = 0; probes < kInternCapacity; ++probes) {
-        uint64_t slot = internTable_ + idx * 8;
-        uint64_t cur;
-        std::memcpy(&cur, &bytes_[slot - base_], 8);
-        if (cur == 0) {
-            write64(slot, obj);
-            internMap_.emplace(s, obj);
-            return obj;
-        }
+    while (!internSlots_.try_emplace(idx, obj).second)
         idx = (idx + 1) & mask;
+    internMap_.emplace(s, obj);
+    return obj;
+}
+
+std::vector<DataSegment>
+DataImage::segments() const
+{
+    std::vector<DataSegment> out;
+    // Adjacent occupied slots share one segment.
+    for (const auto &[idx, obj] : internSlots_) {
+        uint64_t addr = base_ + idx * 8;
+        if (out.empty() || out.back().addr + out.back().bytes.size() != addr)
+            out.push_back({addr, {}});
+        std::vector<uint8_t> &bytes = out.back().bytes;
+        bytes.resize(bytes.size() + 8);
+        std::memcpy(bytes.data() + bytes.size() - 8, &obj, 8);
     }
-    panic("intern table full at build time");
+    if (!dense_.empty())
+        out.push_back({denseBase_, dense_});
+    return out;
 }
 
 } // namespace scd::guest

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cpu/core.hh"
+#include "data_image.hh"
 #include "isa/program.hh"
 #include "mem/memory.hh"
 
@@ -43,16 +44,25 @@ dispatchKindName(DispatchKind kind)
 struct GuestProgram
 {
     isa::Program text;
-    std::vector<uint8_t> data;
+    /** The stored runs of [dataBase, dataEnd); every other byte is 0. */
+    std::vector<DataSegment> data;
     uint64_t dataBase = 0;
+    uint64_t dataEnd = 0;
     cpu::DispatchMeta meta;
 
-    /** Load text and data into guest memory. */
+    /**
+     * Load text and data into guest memory. Every page of the data
+     * segment is made resident, zero runs included, so the guest's
+     * accesses to the intern table hit the same resident pages as they
+     * would after a dense copy.
+     */
     void
     loadInto(mem::GuestMemory &memory) const
     {
         memory.loadProgram(text);
-        memory.writeBlock(dataBase, data.data(), data.size());
+        memory.reserve(dataBase, dataEnd - dataBase);
+        for (const DataSegment &seg : data)
+            memory.writeBlock(seg.addr, seg.bytes.data(), seg.bytes.size());
     }
 
     /** Interpreter code size in bytes (for footprint reporting). */

@@ -94,12 +94,8 @@ serializeStringKeyedTable(
         // Linear probing, same walk as the guest runtime.
         while (true) {
             uint64_t node = nodes + idx * kNodeSize;
-            uint64_t tagBytes = 0;
             // Probe by reading back what we already wrote.
-            for (int b = 0; b < 8; ++b)
-                tagBytes |= uint64_t(data.bytes()[node - data.base() + b])
-                            << (8 * b);
-            if (tagBytes == 0) {
+            if (data.read64(node) == 0) {
                 data.write64(node + 0, kTagStr);
                 data.write64(node + 8, strObj);
                 data.write64(node + 16, value.first);

@@ -71,7 +71,8 @@ class RluaBuilder
             data_.write64(serialized_.jumpTable + n * 8,
                           as_.address(handlers_[n]));
         }
-        out.data = data_.bytes();
+        out.data = data_.segments();
+        out.dataEnd = data_.end();
 
         // Dispatcher metadata for Figures 2 and 3 and for VBBI.
         for (size_t n = 0; n < rangeStart_.size(); ++n) {

@@ -76,7 +76,8 @@ class SjsBuilder
             data_.write64(serialized_.jumpTable + n * 8,
                           as_.address(handlers_[n]));
         }
-        out.data = data_.bytes();
+        out.data = data_.segments();
+        out.dataEnd = data_.end();
         for (size_t n = 0; n < rangeStart_.size(); ++n) {
             out.meta.dispatchRanges.push_back(
                 {as_.address(rangeStart_[n]), as_.address(rangeEnd_[n])});

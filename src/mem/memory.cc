@@ -11,9 +11,9 @@ GuestMemory::page(uint64_t addr)
     uint64_t frame = addr >> kPageBits;
     auto it = pages_.find(frame);
     if (it == pages_.end()) {
-        auto fresh = std::make_unique<uint8_t[]>(kPageSize);
-        std::memset(fresh.get(), 0, kPageSize);
-        it = pages_.emplace(frame, std::move(fresh)).first;
+        // make_unique<T[]> value-initializes: the page reads as zero.
+        it = pages_.emplace(frame, std::make_unique<uint8_t[]>(kPageSize))
+                 .first;
     }
     unsigned way = cacheIndex(frame);
     cachedFrame_.tag[way] = frame;
@@ -75,6 +75,16 @@ SCD_DEF_WRITE(write16, uint16_t)
 SCD_DEF_WRITE(write32, uint32_t)
 SCD_DEF_WRITE(write64, uint64_t)
 #undef SCD_DEF_WRITE
+
+void
+GuestMemory::reserve(uint64_t addr, uint64_t size)
+{
+    if (size == 0)
+        return;
+    for (uint64_t frame = addr >> kPageBits;
+         frame <= (addr + size - 1) >> kPageBits; ++frame)
+        page(frame << kPageBits);
+}
 
 void
 GuestMemory::writeBlock(uint64_t addr, const void *bytes, size_t size)

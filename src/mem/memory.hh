@@ -82,6 +82,9 @@ class GuestMemory
             write64Slow(addr, value);
     }
 
+    /** Make every page overlapping [addr, addr + size) resident. */
+    void reserve(uint64_t addr, uint64_t size);
+
     /** Copy @p bytes into memory starting at @p addr. */
     void writeBlock(uint64_t addr, const void *bytes, size_t size);
 
