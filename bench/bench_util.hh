@@ -16,7 +16,6 @@
 
 #include "cpu/dispatch_tier.hh"
 #include "cpu/jit_tier.hh"
-#include "farm/coordinator.hh"
 #include "harness/experiment.hh"
 #include "harness/machines.hh"
 #include "harness/workloads.hh"
@@ -34,14 +33,11 @@ parseSize(int argc, char **argv, harness::InputSize fallback)
 {
     for (int n = 1; n < argc; ++n) {
         if (std::strncmp(argv[n], "--size=", 7) == 0) {
-            std::string v = argv[n] + 7;
-            if (v == "test")
-                return harness::InputSize::Test;
-            if (v == "sim")
-                return harness::InputSize::Sim;
-            if (v == "fpga")
-                return harness::InputSize::Fpga;
-            std::fprintf(stderr, "unknown --size value '%s'\n", v.c_str());
+            harness::InputSize size;
+            if (harness::parseInputSize(argv[n] + 7, size))
+                return size;
+            std::fprintf(stderr, "unknown --size value '%s'\n",
+                         argv[n] + 7);
         }
     }
     return fallback;
@@ -282,49 +278,6 @@ parseRunOptions(int argc, char **argv)
     parseJitThreshold(argc, argv);
     parseJournal(argc, argv, options);
     return options;
-}
-
-/**
- * Parse --farm=N: run the plan across N worker subprocesses via the
- * sweep-farm coordinator (src/farm/coordinator.hh) instead of
- * in-process threads. Returns 0 when absent — the ordinary runPlan()
- * path. The merged output is byte-identical either way.
- */
-inline unsigned
-parseFarm(int argc, char **argv)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--farm=", 7) == 0) {
-            long v = std::strtol(argv[n] + 7, nullptr, 10);
-            if (v > 0)
-                return static_cast<unsigned>(v);
-            std::fprintf(stderr, "ignoring bad --farm value '%s'\n",
-                         argv[n] + 7);
-        }
-    }
-    return 0;
-}
-
-/**
- * Parse --manifest=<path> (scd-farm-v1 shard manifest) and
- * --log=<path> (coordinator event log) into farm options, and hook
- * coordinator progress lines to stderr. Only meaningful with --farm.
- */
-inline void
-parseFarmOptions(int argc, char **argv, farm::FarmOptions &options)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--manifest=", 11) == 0 &&
-            argv[n][11] != '\0') {
-            options.manifestPath = argv[n] + 11;
-        } else if (std::strncmp(argv[n], "--log=", 6) == 0 &&
-                   argv[n][6] != '\0') {
-            options.logPath = argv[n] + 6;
-        }
-    }
-    options.onProgress = [](const std::string &line) {
-        std::fprintf(stderr, "farm: %s\n", line.c_str());
-    };
 }
 
 inline const char *

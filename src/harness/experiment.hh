@@ -182,19 +182,11 @@ struct RunOptions
     bool resume = false;
 
     /**
-     * fsync every journal append (RunJournal::open durable mode). Set
-     * by the farm daemon for its per-job state journals; the CLI
-     * --journal/--resume flags keep the flush-only default.
-     */
-    bool journalDurable = false;
-
-    /**
      * Completion hook: called with the plan index and the finished run
      * the moment a point completes (any status), right after the
      * journal append. Invoked concurrently from pool workers, so the
      * callback must be thread-safe; never called for points restored
-     * from a --resume journal. The farm worker streams journal lines
-     * to its coordinator through this hook (src/farm/worker.cc).
+     * from a --resume journal.
      */
     std::function<void(size_t, const ExperimentRun &)> onPoint;
 };

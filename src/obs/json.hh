@@ -107,6 +107,7 @@ class JsonValue
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
+    bool isBool() const { return kind_ == Kind::Bool; }
     bool isObject() const { return kind_ == Kind::Object; }
     bool isArray() const { return kind_ == Kind::Array; }
     bool isNumber() const { return kind_ == Kind::Number; }

@@ -223,19 +223,13 @@ class FaultInjection : public ::testing::Test
  * Every registered in-plan site, when armed, must poison at least one
  * point (named in the set) while the rest of the plan completes. The
  * json-write site is export-side and covered separately below; the
- * farm-worker site only fires inside a farm worker subprocess
- * (tests/farm_test.cc covers the kill-and-retry path it exists for);
- * the jit-codecache site only fires on the jit dispatch tier
- * (tests/jit_tier_test.cc covers the structured failure it exists for);
- * the farm-journal-append, farm-repartition and farm-steal sites only
- * fire inside the farm daemon/coordinator (tests/farm_test.cc).
+ * jit-codecache site only fires on the jit dispatch tier
+ * (tests/jit_tier_test.cc covers the structured failure it exists for).
  */
 TEST_F(FaultInjection, EveryPlanSiteFiresAndIsContained)
 {
     for (const std::string &site : faultinj::registeredSites()) {
-        if (site == "json-write" || site == "farm-worker" ||
-            site == "jit-codecache" || site == "farm-journal-append" ||
-            site == "farm-repartition" || site == "farm-steal")
+        if (site == "json-write" || site == "jit-codecache")
             continue;
         SCOPED_TRACE(site);
         faultinj::arm(site, 1);
@@ -315,10 +309,47 @@ TEST_F(FaultInjection, UnknownSiteRejectedAtArmTime)
     } catch (const FatalError &e) {
         std::string what = e.what();
         EXPECT_NE(what.find("unknown fault site"), std::string::npos);
-        EXPECT_NE(what.find("farm-repartition"), std::string::npos)
+        EXPECT_NE(what.find("replay-ring"), std::string::npos)
             << "the error should list the registered sites";
     }
     EXPECT_FALSE(faultinj::armed());
+}
+
+/** The exit-code contract finishRun() implements: export failure (1)
+ *  outranks troubled points (2); clean runs exit 0. */
+TEST(ExitCodes, FinishRunPrecedence)
+{
+    ExperimentPlan plan;
+    ExperimentPoint p;
+    p.vm = VmKind::Rlua;
+    p.workload = &workload("fibo");
+    p.size = InputSize::Test;
+    p.scheme = core::Scheme::Baseline;
+    p.machine = minorConfig();
+    plan.add(p);
+
+    ExperimentSet clean;
+    clean.points = plan.points();
+    clean.runs.resize(1);
+
+    ExperimentSet troubled = clean;
+    troubled.runs[0].status = PointStatus::Failed;
+    troubled.runs[0].error = "synthetic";
+
+    obs::StatsSink sink("fault_test", "test");
+    exportSet(sink, "clean", clean);
+
+    std::string good = ::testing::TempDir() + "fault_exitcodes.json";
+    EXPECT_EQ(finishRun(sink, good, {&clean}), kExitOk);
+    EXPECT_EQ(finishRun(sink, good, {&troubled}), kExitTroubled);
+    // An unwritable path is kExitExportFailure even when points are
+    // troubled too: the lost document is the more urgent signal.
+    std::string bad = "/nonexistent-dir/fault_exitcodes.json";
+    EXPECT_EQ(finishRun(sink, bad, {&troubled}), kExitExportFailure);
+    EXPECT_EQ(finishRun(sink, bad, {&clean}), kExitExportFailure);
+    // No export requested: only the points decide.
+    EXPECT_EQ(finishRun(sink, "", {&troubled}), kExitTroubled);
+    EXPECT_EQ(finishRun(sink, "", {&clean}), kExitOk);
 }
 
 /** SCD_FAULT parsing: site and nth round-trip through the armed state. */

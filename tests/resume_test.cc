@@ -103,6 +103,33 @@ TEST(Resume, JournalLineRoundTrips)
     std::remove(path.c_str());
 }
 
+/**
+ * A record holding only a schema and a key is not a point: it must be
+ * rejected, not restored as a usable run of zero instructions.
+ */
+TEST(Resume, RecordWithoutResultsRejected)
+{
+    const std::string bare =
+        "{\"schema\":\"scd-journal-v1\",\"key\":\"rlua/fibo|0|0|sig\"}";
+    std::string key = "untouched";
+    ExperimentRun run;
+    EXPECT_FALSE(parseJournalLine(bare, key, run));
+    EXPECT_EQ(key, "untouched");
+
+    std::string path = tempPath("journal_bare.jsonl");
+    {
+        std::ofstream f(path);
+        f << bare << "\n";
+    }
+    ::testing::internal::CaptureStderr();
+    auto restored = loadJournal(path);
+    std::string warnings = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(restored.empty());
+    EXPECT_NE(warnings.find("malformed record ignored"), std::string::npos)
+        << warnings;
+    std::remove(path.c_str());
+}
+
 /** A fully journaled plan resumes without executing anything. */
 TEST(Resume, FullJournalSkipsEveryPoint)
 {
