@@ -18,6 +18,7 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -121,6 +122,7 @@ main(int argc, char **argv)
     obs::StatsSink sink("ablation_scd", bench::sizeName(size));
 
     // Baseline/scheme pairs for the whole subset, all steps as one plan.
+    std::string frontend = bench::parseFrontend(argc, argv);
     std::vector<AblationStep> steps = ablationSteps();
     ExperimentPlan plan;
     for (const AblationStep &step : steps) {
@@ -131,8 +133,7 @@ main(int argc, char **argv)
                 p.workload = &workload(name);
                 p.size = size;
                 p.scheme = s;
-                p.machine =
-                    bench::applyFrontendFlag(argc, argv, step.machine);
+                p.machine = bench::applyFrontend(frontend, step.machine);
                 plan.add(std::move(p));
             }
         }
@@ -217,6 +218,5 @@ main(int argc, char **argv)
                         pctOrFailed(speedup[i++]).c_str());
         }
     }
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&all});
 }

@@ -15,11 +15,9 @@
 #include <utility>
 
 #include "cpu/dispatch_tier.hh"
-#include "cpu/jit_tier.hh"
 #include "harness/experiment.hh"
 #include "harness/machines.hh"
 #include "harness/workloads.hh"
-#include "obs/stats_sink.hh"
 
 namespace scd::bench
 {
@@ -102,16 +100,24 @@ parseFrontend(int argc, char **argv)
 }
 
 /**
- * Apply a --frontend= flag to an already-built machine configuration
- * (harness::withFrontend); a missing flag leaves it untouched.
+ * Apply a spec from parseFrontend() to an already-built machine
+ * configuration (harness::withFrontend); an empty spec leaves it
+ * untouched. Drivers that configure many machines parse once and call
+ * this per machine, so a bad flag warns once.
  */
 inline cpu::CoreConfig
-applyFrontendFlag(int argc, char **argv, cpu::CoreConfig config)
+applyFrontend(const std::string &spec, cpu::CoreConfig config)
 {
-    std::string spec = parseFrontend(argc, argv);
     if (!spec.empty())
         config = harness::withFrontend(std::move(config), spec);
     return config;
+}
+
+/** applyFrontend() with the spec parsed from --frontend=. */
+inline cpu::CoreConfig
+applyFrontendFlag(int argc, char **argv, cpu::CoreConfig config)
+{
+    return applyFrontend(parseFrontend(argc, argv), std::move(config));
 }
 
 /**
@@ -192,48 +198,6 @@ parseDispatchTier(int argc, char **argv, harness::RunOptions &options)
 }
 
 /**
- * Parse --jit-threshold=N: the per-slot execution count at which the
- * jit tier compiles a superblock head (cpu::setJitThreshold). Absent
- * flag leaves the process default ($SCD_JIT_THRESHOLD, else 256).
- * Only meaningful together with --dispatch-tier=jit.
- */
-inline void
-parseJitThreshold(int argc, char **argv)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--jit-threshold=", 16) == 0) {
-            long v = std::strtol(argv[n] + 16, nullptr, 10);
-            if (v > 0) {
-                cpu::setJitThreshold(static_cast<uint32_t>(v));
-            } else {
-                std::fprintf(stderr,
-                             "ignoring bad --jit-threshold value '%s'\n",
-                             argv[n] + 16);
-            }
-        }
-    }
-}
-
-/**
- * Attach the jit tier's process-global counters to @p sink as the
- * optional scd-stats-v1 "jit" section — only when @p options actually
- * selected the jit tier and this build has the backend, so default-tier
- * documents (and every checked-in golden) stay byte-identical.
- */
-inline void
-exportJitSection(obs::StatsSink &sink, const harness::RunOptions &options)
-{
-    if (options.dispatchTier != cpu::DispatchTier::Jit ||
-        !cpu::jitTierAvailable())
-        return;
-    cpu::JitStats stats = cpu::jitStatsSnapshot();
-    sink.addJitStat("blocksCompiled", stats.blocksCompiled);
-    sink.addJitStat("blocksInvalidated", stats.blocksInvalidated);
-    sink.addJitStat("blockExecutions", stats.blockExecutions);
-    sink.addJitStat("codeBytes", stats.codeBytes);
-}
-
-/**
  * Parse --journal=<path> / --resume=<path> into RunOptions journal
  * fields. --journal starts a fresh crash-safe journal at <path>;
  * --resume reads <path> back first, skips every point already recorded
@@ -264,8 +228,7 @@ parseJournal(int argc, char **argv, harness::RunOptions &options)
 
 /**
  * Assemble the RunOptions every figure driver shares: --jobs,
- * --no-replay, --point-timeout, --dispatch-tier, --jit-threshold and
- * --journal/--resume.
+ * --no-replay, --point-timeout, --dispatch-tier and --journal/--resume.
  */
 inline harness::RunOptions
 parseRunOptions(int argc, char **argv)
@@ -275,7 +238,6 @@ parseRunOptions(int argc, char **argv)
     options.replay = !parseNoReplay(argc, argv);
     options.pointTimeout = parsePointTimeout(argc, argv);
     parseDispatchTier(argc, argv, options);
-    parseJitThreshold(argc, argv);
     parseJournal(argc, argv, options);
     return options;
 }

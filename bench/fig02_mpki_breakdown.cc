@@ -30,6 +30,5 @@ main(int argc, char **argv)
 
     obs::StatsSink sink("fig02_mpki_breakdown", bench::sizeName(size));
     exportSet(sink, "baseline-mpki", run.set);
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&run.set});
 }

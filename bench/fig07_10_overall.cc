@@ -42,6 +42,5 @@ main(int argc, char **argv)
 
     obs::StatsSink sink("fig07_10_overall", bench::sizeName(size));
     exportSet(sink, "overall", set);
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&set});
 }

@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -90,9 +91,10 @@ main(int argc, char **argv)
     std::string jsonPath = bench::parseJsonPath(argc, argv);
     obs::StatsSink sink("fig11_sensitivity", bench::sizeName(size));
 
+    std::string frontend = bench::parseFrontend(argc, argv);
     std::vector<bench::Fig11Step> steps = bench::fig11Steps();
     for (bench::Fig11Step &step : steps)
-        step.machine = bench::applyFrontendFlag(argc, argv, step.machine);
+        step.machine = bench::applyFrontend(frontend, step.machine);
     ExperimentPlan plan = bench::fig11Plan(steps, size);
     std::fprintf(stderr, "fig11: %zu points across %zu sweep steps%s...\n",
                  plan.size(), steps.size(),
@@ -115,6 +117,5 @@ main(int argc, char **argv)
     capTables(VmKind::Rlua, &grids[8]);
     capTables(VmKind::Sjs, &grids[12]);
 
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&all});
 }

@@ -182,6 +182,5 @@ main(int argc, char **argv)
     falseHitTable(VmKind::Rlua, &slices[0]);
     falseHitTable(VmKind::Sjs, &slices[4]);
 
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&all});
 }

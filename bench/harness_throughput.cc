@@ -6,18 +6,14 @@
  *
  * The plan is the fig07-10 grid shape (2 VMs x 11 workloads x 4 schemes)
  * at the chosen input size. The same plan runs under the functional-only
- * NullTiming model twice per dispatch tier — jit, threaded and the
- * reference switch interpreter, interleaved so allocator drift hits all
- * three equally —
+ * NullTiming model twice per dispatch tier — threaded and the reference
+ * switch interpreter, interleaved so allocator drift hits both equally —
  * then twice serially (--jobs=1) and twice on the requested worker count
  * with the timed model; the JSON records per-experiment wall time, the
  * total wall times, the parallel speedup, the timed-vs-functional
- * instruction throughput (instructions/sec), the threaded tier's
- * speedup over the switch tier (functional_threaded_speedup), and the
- * jit tier's speedup over the threaded tier (functional_jit_speedup) —
- * the two numbers the CI bench-regression gate watches. On hosts
- * without the jit backend the jit passes degrade gracefully to the
- * threaded tier and jit_available records it. Each mode's throughput is
+ * instruction throughput (instructions/sec) and the threaded tier's
+ * speedup over the switch tier (functional_threaded_speedup), which the
+ * CI bench-regression gate watches. Each mode's throughput is
  * the best of its two passes per experiment — the runs are short enough
  * that scheduler noise on a shared machine swings single measurements by
  * >10%, and the per-experiment minimum is the usual noise-robust
@@ -273,7 +269,6 @@ main(int argc, char **argv)
     // tiers interleave (threaded, switch, threaded, switch) so that
     // drift degrades both tiers' best-of-two equally instead of biasing
     // the tier ratio.
-    bench::parseJitThreshold(argc, argv);
     std::fprintf(stderr,
                  "harness_throughput: %zu points (%s), functional pass "
                  "(NullTiming, threaded)...\n",
@@ -281,17 +276,12 @@ main(int argc, char **argv)
     RunOptions threadedOpts;
     threadedOpts.jobs = 1;
     threadedOpts.dispatchTier = cpu::DispatchTier::Threaded;
-    RunOptions jitOpts;
-    jitOpts.jobs = 1;
-    jitOpts.dispatchTier = cpu::DispatchTier::Jit;
     RunOptions functionalOpts;
     functionalOpts.jobs = 1;
     functionalOpts.dispatchTier = cpu::DispatchTier::Switch;
     ExperimentSet threaded = runPlan(functionalPlan, threadedOpts);
-    std::fprintf(stderr, "harness_throughput: functional pass (jit)...\n");
-    ExperimentSet jit = runPlan(functionalPlan, jitOpts);
 
-    ExperimentSet threaded2, jit2, functional, functional2, serial,
+    ExperimentSet threaded2, functional, functional2, serial,
         serial2, parallel, parallel2;
     if (funcOnly) {
         functional = runPlan(functionalPlan, functionalOpts);
@@ -303,9 +293,6 @@ main(int argc, char **argv)
                      "harness_throughput: functional pass 2 (threaded)"
                      "...\n");
         threaded2 = runPlan(functionalPlan, threadedOpts);
-        std::fprintf(stderr,
-                     "harness_throughput: functional pass 2 (jit)...\n");
-        jit2 = runPlan(functionalPlan, jitOpts);
         std::fprintf(stderr,
                      "harness_throughput: functional pass 2 (switch)...\n");
         functional2 = runPlan(functionalPlan, functionalOpts);
@@ -373,12 +360,9 @@ main(int argc, char **argv)
         funcOnly ? 0.0 : instructionsPerSecond(serial, parallel);
     double functionalIps = instructionsPerSecond(functional, functional2);
     double threadedIps = instructionsPerSecond(threaded, threaded2);
-    double jitIps = instructionsPerSecond(jit, jit2);
     double functionalSpeedup = timedIps > 0 ? functionalIps / timedIps : 0.0;
     double threadedSpeedup =
         functionalIps > 0 ? threadedIps / functionalIps : 0.0;
-    double jitSpeedup = threadedIps > 0 ? jitIps / threadedIps : 0.0;
-    cpu::JitStats jitStats = cpu::jitStatsSnapshot();
 
     const char *path = jsonPath.c_str();
     std::FILE *f = std::fopen(path, "w");
@@ -417,18 +401,6 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"functional_threaded_ips\": %.0f,\n", threadedIps);
     std::fprintf(f, "  \"functional_threaded_speedup\": %.3f,\n",
                  threadedSpeedup);
-    std::fprintf(f, "  \"jit_available\": %s,\n",
-                 cpu::jitTierAvailable() ? "true" : "false");
-    std::fprintf(f, "  \"jit_threshold\": %u,\n", cpu::jitThreshold());
-    std::fprintf(f, "  \"functional_jit_ips\": %.0f,\n", jitIps);
-    std::fprintf(f, "  \"functional_jit_speedup\": %.3f,\n", jitSpeedup);
-    std::fprintf(f, "  \"jit\": {\"blocksCompiled\": %llu, "
-                 "\"blocksInvalidated\": %llu, \"blockExecutions\": %llu, "
-                 "\"codeBytes\": %llu},\n",
-                 (unsigned long long)jitStats.blocksCompiled,
-                 (unsigned long long)jitStats.blocksInvalidated,
-                 (unsigned long long)jitStats.blockExecutions,
-                 (unsigned long long)jitStats.codeBytes);
     std::fprintf(f, "  \"frontend_overhead\": %.3f,\n", frontendOverhead);
     std::fprintf(f, "  \"experiments\": [\n");
     if (!funcOnly) {
@@ -459,25 +431,23 @@ main(int argc, char **argv)
 
     if (funcOnly) {
         std::printf("harness throughput (functional only): %zu points, "
-                    "%.2fs, %.0f Minst/s (threaded %.2fx, jit %.2fx%s, "
+                    "%.2fs, %.0f Minst/s (threaded %.2fx, "
                     "frontend overhead %.3fx) -> %s\n",
                     functionalPlan.size(), functional.totalSeconds,
-                    functionalIps / 1e6, threadedSpeedup, jitSpeedup,
-                    cpu::jitTierAvailable() ? "" : " [no backend]",
-                    frontendOverhead, path);
-        return reportTroubledPoints({&threaded, &jit, &functional});
+                    functionalIps / 1e6, threadedSpeedup, frontendOverhead,
+                    path);
+        return reportTroubledPoints({&threaded, &functional});
     }
     std::printf("harness throughput: %zu points, serial %.2fs, "
                 "%u jobs %.2fs, speedup %.2fx, functional %.2fs "
-                "(%.1fx inst/s), threaded tier %.2fx, jit tier %.2fx%s, "
+                "(%.1fx inst/s), threaded tier %.2fx, "
                 "fig11 replay %.2fx, frontend overhead %.3fx -> %s\n",
                 plan.size(), serialSeconds, parallel.jobs,
                 parallelSeconds, speedup, functional.totalSeconds,
-                functionalSpeedup, threadedSpeedup, jitSpeedup,
-                cpu::jitTierAvailable() ? "" : " [no backend]",
+                functionalSpeedup, threadedSpeedup,
                 fig11Replay > 0 ? fig11Direct / fig11Replay : 0.0,
                 frontendOverhead, path);
-    return reportTroubledPoints({&threaded, &threaded2, &jit, &jit2,
-                                 &functional, &functional2, &serial,
-                                 &serial2, &parallel, &parallel2});
+    return reportTroubledPoints({&threaded, &threaded2, &functional,
+                                 &functional2, &serial, &serial2, &parallel,
+                                 &parallel2});
 }

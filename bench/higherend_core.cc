@@ -77,6 +77,5 @@ main(int argc, char **argv)
     obs::StatsSink sink("higherend_core", bench::sizeName(size));
     sink.setMeta("issueWidth", std::to_string(config.issueWidth));
     exportSet(sink, "higherend", run.set);
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&run.set});
 }

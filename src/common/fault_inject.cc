@@ -54,9 +54,6 @@ registeredSites()
         "replay-ring",
         "json-write",
         "point-oom",
-        // Fires in the JIT tier's code cache before the mmap; the tier
-        // reports the FatalError instead of degrading (jit_tier.cc).
-        "jit-codecache",
     };
     return sites;
 }

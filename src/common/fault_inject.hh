@@ -28,8 +28,6 @@
  *                while exporting the stats JSON
  *   point-oom    replay.cc, contained point wrapper — simulates an
  *                allocation failure inside one experiment point
- *   jit-codecache jit_tier.cc, CodeCache::install — simulates the host
- *                denying executable code pages (mmap/mprotect failure)
  */
 
 #ifndef SCD_COMMON_FAULT_INJECT_HH

@@ -27,8 +27,6 @@ parseDispatchTier(std::string_view name)
         return DispatchTier::Switch;
     if (name == "threaded")
         return DispatchTier::Threaded;
-    if (name == "jit")
-        return DispatchTier::Jit;
     return std::nullopt;
 }
 
@@ -42,10 +40,16 @@ defaultDispatchTier()
         if (auto parsed = parseDispatchTier(env))
             return *parsed;
         warn("SCD_DISPATCH_TIER='", env,
-             "' is not 'switch', 'threaded', or 'jit'; using threaded");
+             "' is not 'switch' or 'threaded'; using threaded");
         return DispatchTier::Threaded;
     }();
     return tier;
+}
+
+bool
+jitTierAvailable()
+{
+    return false;
 }
 
 } // namespace scd::cpu

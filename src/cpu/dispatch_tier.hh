@@ -31,18 +31,23 @@ enum class DispatchTier : uint8_t
 {
     Switch,   ///< the reference switch-dispatched step loop
     Threaded, ///< pre-decoded threaded code (computed goto / portable)
-    Jit,      ///< hot superblocks translated to host x86-64 (jit_tier.hh)
+    /**
+     * Runs exactly as Threaded. Kept, with its name "jit", only because
+     * the perfbench layer pass `cpu.functional.jit.minst_per_s` names it;
+     * to be removed with that metric.
+     */
+    Jit,
 };
 
 /** Stable lower-case name ("switch" / "threaded" / "jit"). */
 const char *dispatchTierName(DispatchTier tier);
 
-/** Parse a tier name; nullopt on anything else. */
+/** Parse "switch" or "threaded"; nullopt on anything else. */
 std::optional<DispatchTier> parseDispatchTier(std::string_view name);
 
 /**
- * The process-wide default tier: $SCD_DISPATCH_TIER ("switch",
- * "threaded", or "jit") when set and valid, else Threaded. Read once and
+ * The process-wide default tier: $SCD_DISPATCH_TIER ("switch" or
+ * "threaded") when set and valid, else Threaded. Read once and
  * cached; an invalid value warns and falls back to the default.
  */
 DispatchTier defaultDispatchTier();
@@ -55,22 +60,11 @@ DispatchTier defaultDispatchTier();
 bool threadedTierUsesComputedGoto();
 
 /**
- * True when this build carries the x86-64 JIT backend (x86-64 host and
- * not -DSCD_PORTABLE_DISPATCH=ON). When false, a run requested on the
- * jit tier degrades gracefully to the threaded tier with a one-line
- * notice (never a crash); defined in jit_tier.cc.
+ * Always false: no build carries a JIT backend. Kept only because
+ * perfbench records it in its environment block; to be removed with
+ * DispatchTier::Jit.
  */
 bool jitTierAvailable();
-
-/**
- * The superblock-compile threshold of the JIT tier: a slot that is the
- * target of this many control transfers becomes a superblock head.
- * Defaults from $SCD_JIT_THRESHOLD (else 256); bench drivers override
- * it via --jit-threshold. Timing-irrelevant by the tier contract, so a
- * process-wide knob like defaultDispatchTier(). Defined in jit_tier.cc.
- */
-uint32_t jitThreshold();
-void setJitThreshold(uint32_t threshold);
 
 } // namespace scd::cpu
 

@@ -9,7 +9,6 @@
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "functional_core_inl.hh"
-#include "jit_tier.hh"
 #include "syscalls.hh"
 #include "threaded_tier.hh"
 
@@ -46,18 +45,9 @@ FunctionalCore::ensureThreaded()
     return *threaded_;
 }
 
-JitTier &
-FunctionalCore::ensureJit()
-{
-    if (!jit_)
-        jit_ = std::make_unique<JitTier>(*this);
-    return *jit_;
-}
-
 void
 FunctionalCore::loadProgram(const isa::Program &prog)
 {
-    jit_.reset(); // before the substrate: ~JitTier detaches its hooks
     threaded_.reset(); // translation is per-program
     textBase_ = prog.base;
     slots_.clear();
@@ -79,7 +69,6 @@ void
 FunctionalCore::setDispatchMeta(const DispatchMeta &meta)
 {
     SCD_ASSERT(!slots_.empty(), "setDispatchMeta before loadProgram");
-    jit_.reset(); // before the substrate: ~JitTier detaches its hooks
     threaded_.reset(); // slot flags feed the translation
 
     for (auto [lo, hi] : meta.dispatchRanges) {
@@ -132,8 +121,6 @@ FunctionalCore::textWritten(uint64_t addr, unsigned width)
     }
     if (threaded_)
         threaded_->noteTextWrite(first, last);
-    if (jit_)
-        jit_->noteTextWrite(first, last);
 }
 
 inline uint64_t
@@ -626,20 +613,7 @@ FunctionalCore::runFunctional(uint64_t maxInstructions)
     if (tier_ != DispatchTier::Switch && !trace_) {
         // Tracing wants the per-instruction hook probe; keep it on the
         // reference interpreter, whose semantics the trace documents.
-        if (tier_ == DispatchTier::Jit && jitTierAvailable()) {
-            ensureJit().runFunctional(maxInstructions);
-        } else {
-            if (tier_ == DispatchTier::Jit) {
-                static bool noticed = false;
-                if (!noticed) {
-                    noticed = true;
-                    warn("jit tier unavailable in this build "
-                         "(non-x86-64 host or portable dispatch); "
-                         "running on the threaded tier");
-                }
-            }
-            ensureThreaded().runFunctional(maxInstructions);
-        }
+        ensureThreaded().runFunctional(maxInstructions);
         return;
     }
     HotState hs{pc_, retired_, dispatchInstructions_};
@@ -687,9 +661,6 @@ FunctionalCore::runFunctional(uint64_t maxInstructions)
 size_t
 FunctionalCore::runRecorded(RetireInfo *out, size_t cap)
 {
-    // Recorded runs execute on the threaded tier for the jit tier too:
-    // the JIT compiles only the functional mode, so RetireInfo streams —
-    // and everything downstream of them — are identical by construction.
     if (tier_ != DispatchTier::Switch && !trace_)
         return ensureThreaded().runRecorded(out, cap);
     HotState hs{pc_, retired_, dispatchInstructions_};

@@ -42,7 +42,6 @@ namespace scd::cpu
 
 class TimingModel;
 class ThreadedTier;
-class JitTier;
 
 /**
  * Program metadata supplied by the guest builders: which PC ranges belong
@@ -331,14 +330,6 @@ class FunctionalCore
     DispatchTier tier_ = defaultDispatchTier();
     std::unique_ptr<ThreadedTier> threaded_;
     ThreadedTier &ensureThreaded();
-
-    // The JIT execution tier (src/cpu/jit_tier.hh), layered on the
-    // threaded tier as its warmup/fallback substrate. Declared after
-    // threaded_ so it is destroyed first: its destructor detaches the
-    // profiling hook it installed into the substrate.
-    friend class JitTier;
-    std::unique_ptr<JitTier> jit_;
-    JitTier &ensureJit();
 };
 
 } // namespace scd::cpu

@@ -1,11 +1,11 @@
 /**
  * @file
  * Threaded-code executor of the FunctionalCore (see threaded_tier.hh for
- * the design). The file has three parts: the slot lowering + the
- * process-global translation cache, the handler-threaded executor
- * (ThreadedTier::exec, one handler per opcode, written once and compiled
- * in both computed-goto and switch forms), and the run loops that burst
- * the executor between watchdog checks / budget boundaries /
+ * the design). The file has three parts: the slot representation, its
+ * lowering and the process-global translation cache, the handler-threaded
+ * executor (ThreadedTier::exec, one handler per opcode, written once and
+ * compiled in both computed-goto and switch forms), and the run loops that
+ * burst the executor between watchdog checks / budget boundaries /
  * retranslation pauses.
  *
  * SCD_COMPUTED_GOTO is defined (to 1) by the build system when the
@@ -29,7 +29,7 @@
 #include "common/logging.hh"
 #include "functional_core_inl.hh"
 #include "isa/instruction.hh"
-#include "tslot.hh"
+#include "isa/opcode.hh"
 
 #ifndef SCD_COMPUTED_GOTO
 #define SCD_COMPUTED_GOTO 0
@@ -46,9 +46,92 @@ threadedTierUsesComputedGoto()
     return SCD_COMPUTED_GOTO != 0;
 }
 
-// TSlot/TProgram/HOp and the division corner-case helpers live in
-// tslot.hh, shared with the JIT tier (jit_tier.cc) so both tiers lower
-// and interpret the same slot stream.
+/**
+ * Handler index of a translated slot. Real opcodes map by identity (the
+ * list below reuses SCD_OPCODE_LIST, so the enum values coincide with
+ * isa::Opcode); the two extras are the sentinel slots appended past the
+ * translated text: EndOfText faults a fall-through off the last
+ * instruction, BadPc faults a computed transfer whose target was outside
+ * text — one instruction *after* the transfer retired, exactly when the
+ * reference interpreter's next fetch would have faulted.
+ */
+enum class HOp : uint8_t
+{
+#define SCD_HOP_ENUM(name, mnem, fmt, flags) name,
+    SCD_OPCODE_LIST(SCD_HOP_ENUM)
+#undef SCD_HOP_ENUM
+    EndOfText,
+    BadPc,
+    NumHops
+};
+
+static_assert(size_t(HOp::EndOfText) == isa::kNumOpcodes,
+              "HOp must mirror the opcode list");
+
+/** TSlot::aux value meaning "taken target is outside text". */
+constexpr uint32_t kNoTarget = UINT32_MAX;
+
+/**
+ * One translated instruction: the handler address for its opcode plus the
+ * operands pre-decoded so no handler ever touches the original text. aux
+ * pre-resolves the taken-successor *slot index* of direct branches and
+ * jal, turning a taken transfer into one pointer assignment. 32 bytes so
+ * slot indexing is a shift.
+ */
+struct TSlot
+{
+    const void *fh = nullptr; ///< direct-threaded handler label (or null)
+    int64_t imm = 0;          ///< sign-extended immediate
+    uint32_t aux = kNoTarget; ///< taken-target slot index (direct only)
+    uint32_t flags = 0;       ///< FunctionalCore's cached flag word
+    uint8_t rd = 0;
+    uint8_t rs1 = 0;
+    uint8_t rs2 = 0;
+    uint8_t bank = 0;
+    uint8_t hop = 0;          ///< HOp handler index
+    uint8_t op = 0;           ///< original isa::Opcode (RetireInfo::op)
+};
+static_assert(sizeof(TSlot) == 32, "TSlot indexing wants a power of two");
+
+/** A translated text segment: nReal lowered slots + the two sentinels. */
+struct TProgram
+{
+    uint64_t textBase = 0;
+    size_t nReal = 0;
+    std::vector<TSlot> slots; ///< size nReal + 2
+};
+
+/**
+ * SRV64 division/multiply corner-case semantics of the threaded handlers
+ * (division by zero, INT64_MIN/-1); they must agree with the reference
+ * interpreter's ALU in functional_core.cc.
+ */
+inline uint64_t
+sdivVal(int64_t a, int64_t b)
+{
+    if (b == 0)
+        return ~uint64_t(0);
+    if (a == INT64_MIN && b == -1)
+        return uint64_t(INT64_MIN);
+    return uint64_t(a / b);
+}
+
+inline uint64_t
+sremVal(int64_t a, int64_t b)
+{
+    if (b == 0)
+        return uint64_t(a);
+    if (a == INT64_MIN && b == -1)
+        return 0;
+    return uint64_t(a % b);
+}
+
+inline uint64_t
+mulhVal(int64_t a, int64_t b)
+{
+    return uint64_t((static_cast<__int128>(a) * static_cast<__int128>(b)) >>
+                    64);
+}
 
 namespace
 {
@@ -171,14 +254,12 @@ resetThreadedCache()
 // predictor entries. Pinning the executor's start keeps that layout from
 // shifting whenever unrelated code in the binary changes size (a 16-byte
 // shift ran functional-only plans ~8% slower on an x86-64 host, GCC 12).
-template <bool kHasRi, bool kBounded, bool kJit>
+template <bool kHasRi, bool kBounded>
 [[gnu::aligned(64)]] ThreadedTier::ExecStatus
 ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
                    uint64_t budget, const void *const **labelQuery)
 {
-    [[maybe_unused]] constexpr bool kDirect = !kHasRi && !kBounded && !kJit;
-    static_assert(!kJit || (!kHasRi && kBounded),
-                  "the JIT profiles only bounded functional bursts");
+    [[maybe_unused]] constexpr bool kDirect = !kHasRi && !kBounded;
 
 #if SCD_COMPUTED_GOTO
     // One label per handler, in HOp order. The array is per template
@@ -253,29 +334,6 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         SCD_DISPATCH();                                                      \
     } while (0)
 
-// Control-transfer edge into the slot at `slotp`: in kJit bursts the
-// target is a potential superblock head — if it is compiled (or its
-// counter just crossed the threshold) the transfer retires and the burst
-// pauses *at* the target so the JIT run loop can enter (or build) the
-// compiled block. Fall-through chains never come through here: heads
-// only form where control actually jumps.
-#define SCD_EDGE(slotp)                                                      \
-    do {                                                                     \
-        if constexpr (kJit) {                                                \
-            const TSlot *tslot_ = (slotp);                                   \
-            if (t->jitEdgeHot(size_t(tslot_ - base))) [[unlikely]] {         \
-                SCD_ACCOUNT();                                               \
-                ip = tslot_;                                                 \
-                if constexpr (kBounded) {                                    \
-                    if (--budget == 0)                                       \
-                        goto pause_budget;                                   \
-                }                                                            \
-                goto pause_jit;                                              \
-            }                                                                \
-        }                                                                    \
-        SCD_NEXT(slotp);                                                     \
-    } while (0)
-
 // Record-mode base fields, every other field at its default.
 #define SCD_SET_RI(pcv, nextv)                                               \
     do {                                                                     \
@@ -293,7 +351,7 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         uint64_t targ_ = (targetExpr);                                       \
         uint64_t off_ = targ_ - tb;                                          \
         if (off_ < limit && (off_ & 3) == 0) [[likely]]                      \
-            SCD_EDGE(base + (off_ >> 2));                                    \
+            SCD_NEXT(base + (off_ >> 2));                                    \
         cur.pendingBadPc = targ_;                                            \
         SCD_NEXT(badSlot);                                                   \
     } while (0)
@@ -302,7 +360,7 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
 #define SCD_TAKE_AUX(badPcExpr)                                              \
     do {                                                                     \
         if (ip->aux != kNoTarget) [[likely]]                                 \
-            SCD_EDGE(base + ip->aux);                                        \
+            SCD_NEXT(base + ip->aux);                                        \
         cur.pendingBadPc = (badPcExpr);                                      \
         SCD_NEXT(badSlot);                                                   \
     } while (0)
@@ -687,18 +745,6 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
     cur.dispatch = dispatch;
     return ExecStatus::Retranslate;
 
-    // Only the kJit instantiation jumps here; the attribute silences the
-    // unused-label warning in the others.
-  pause_jit:
-#if defined(__GNUC__)
-    __attribute__((unused));
-#endif
-    cur.idx = size_t(ip - base);
-    cur.retired = retired;
-    cur.dispatch = dispatch;
-    return ExecStatus::JitPause;
-
-#undef SCD_EDGE
 #undef SCD_H_BR
 #undef SCD_H_STORE
 #undef SCD_H_OPLOAD
@@ -714,12 +760,6 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
 #undef SCD_DISPATCH
 #undef SCD_CASE
 #undef SCD_PC
-}
-
-ThreadedTier::ExecStatus
-ThreadedTier::runJitBurst(Cursor &cur, uint64_t budget)
-{
-    return exec<false, true, true>(this, cur, nullptr, budget, nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 /**
  * @file
- * The threaded-code execution tier of the FunctionalCore — the first rung
- * of the classic interpreter-to-JIT ladder, applied to the simulator's own
- * hot loop (the same dispatch transformation the paper studies in guest
- * interpreters).
+ * The threaded-code execution tier of the FunctionalCore: the simulator's
+ * fast functional executor and the recorder every timed run replays from.
+ * It applies to the simulator's own hot loop the same dispatch
+ * transformation the paper studies in guest interpreters.
  *
  * A one-pass translation lowers the pre-decoded text segment into a flat
  * stream of 32-byte TSlots, each carrying the handler address for its
@@ -46,9 +46,8 @@ namespace scd::cpu
 {
 
 class FunctionalCore;
-class JitTier;
 
-// Defined in tslot.hh; opaque here.
+// Defined in threaded_tier.cc; opaque here.
 struct TSlot;    ///< one translated instruction ({handler, operands})
 struct TProgram; ///< a translated text segment (slots + sentinels)
 
@@ -101,7 +100,6 @@ class ThreadedTier
         Exited,      ///< the guest's exit syscall retired
         Budget,      ///< instruction budget exhausted
         Retranslate, ///< a store dirtied text; retranslate, then resume
-        JitPause,    ///< control reached a compiled (or now-hot) JIT head
     };
 
     /**
@@ -121,37 +119,14 @@ class ThreadedTier
      * The handler-threaded executor: runs from cur.idx until the status
      * says why it stopped. kBounded compiles the per-instruction budget
      * decrement in or out (the unbounded form is the hot one); kHasRi
-     * additionally fills one RetireInfo per instruction; kJit compiles
-     * the JIT tier's edge profiling in — every control transfer then
-     * consults the jit hook arrays below and pauses with JitPause when
-     * the target slot has a compiled superblock or just crossed the
-     * hotness threshold. @p labelQuery is the bootstrap back door: when
-     * non-null the executor immediately stores its handler-label table
-     * there and returns (computed-goto builds only; labels are
-     * function-local).
+     * additionally fills one RetireInfo per instruction. @p labelQuery
+     * is the bootstrap back door: when non-null the executor immediately
+     * stores its handler-label table there and returns (computed-goto
+     * builds only; labels are function-local).
      */
-    template <bool kHasRi, bool kBounded, bool kJit = false>
+    template <bool kHasRi, bool kBounded>
     static ExecStatus exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
                            uint64_t budget, const void *const **labelQuery);
-
-    /**
-     * One profiled bounded burst for the JIT tier's warmup/fallback path
-     * (the kJit executor instantiation lives in this translation unit).
-     */
-    ExecStatus runJitBurst(Cursor &cur, uint64_t budget);
-
-    /**
-     * True when a control transfer into @p idx should pause the burst:
-     * the slot heads a compiled superblock, or its execution count just
-     * crossed the compile threshold. Banned heads park their counter at
-     * INT32_MIN so the increment can never reach the threshold again.
-     */
-    bool
-    jitEdgeHot(size_t idx)
-    {
-        return jitEntries_[idx] != nullptr ||
-               ++jitCounts_[idx] >= int32_t(jitThreshold_);
-    }
 
     /** Translate (or fetch from the global cache) the core's slots. */
     static std::shared_ptr<const TProgram>
@@ -181,16 +156,6 @@ class ThreadedTier
     std::unique_ptr<TProgram> owned_;      ///< set once text went dirty
     size_t dirtyFirst_ = 0, dirtyLast_ = 0;
     bool dirtyPending_ = false;
-
-    // JIT profiling hook, installed by the JitTier when it adopts this
-    // tier as its warmup/fallback substrate (src/cpu/jit_tier.hh). The
-    // arrays are owned by the JitTier and sized nReal + 2 like the slot
-    // array; they are only dereferenced by the kJit executor, which the
-    // JitTier alone runs.
-    friend class JitTier;
-    void *const *jitEntries_ = nullptr; ///< per-slot compiled entry point
-    int32_t *jitCounts_ = nullptr;      ///< per-slot head execution count
-    uint32_t jitThreshold_ = 0;         ///< compile threshold (>= 1)
 };
 
 } // namespace scd::cpu

@@ -106,8 +106,32 @@ DataImage::segments() const
         bytes.resize(bytes.size() + 8);
         std::memcpy(bytes.data() + bytes.size() - 8, &obj, 8);
     }
-    if (!dense_.empty())
-        out.push_back({denseBase_, dense_});
+    // The dense allocations, cut at zero runs of kMinZeroRun bytes or
+    // more and trimmed of zeros at both ends. The loader zero-fills the
+    // whole segment, so those runs need not be stored; shorter runs stay
+    // inside their segment rather than cost a segment of their own.
+    const size_t n = dense_.size();
+    size_t i = 0;
+    for (;;) {
+        while (i < n && dense_[i] == 0)
+            ++i;
+        if (i == n)
+            break;
+        size_t start = i, end = i;
+        while (i < n) {
+            if (dense_[i] != 0) {
+                end = ++i;
+                continue;
+            }
+            size_t zeros = i;
+            while (i < n && dense_[i] == 0)
+                ++i;
+            if (i - zeros >= kMinZeroRun)
+                break;
+        }
+        out.push_back({denseBase_ + start,
+                       {dense_.begin() + start, dense_.begin() + end}});
+    }
     return out;
 }
 

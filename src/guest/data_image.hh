@@ -10,12 +10,14 @@
  * but almost all of its slots stay zero. The builder therefore never
  * stores the table: occupied slots live in a sparse slot map, and only
  * the allocations after the reserved range are kept densely. segments()
- * hands out what a loader has to write; every other byte is zero.
+ * hands out what a loader has to write, leaving out long zero runs of
+ * the dense part too; every other byte is zero.
  */
 
 #ifndef SCD_GUEST_DATA_IMAGE_HH
 #define SCD_GUEST_DATA_IMAGE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -63,10 +65,13 @@ class DataImage
     uint64_t base() const { return base_; }
     uint64_t end() const { return denseBase_ + dense_.size(); }
 
+    /** Zero runs at least this long are never stored by segments(). */
+    static constexpr size_t kMinZeroRun = 64;
+
     /**
      * The parts of [base(), end()) that can hold nonzero bytes: runs of
-     * occupied intern slots, then the dense allocations. Sorted,
-     * disjoint, nonempty.
+     * occupied intern slots, then the dense allocations split at zero
+     * runs of kMinZeroRun bytes or more. Sorted, disjoint, nonempty.
      */
     std::vector<DataSegment> segments() const;
 

@@ -94,26 +94,6 @@ class GuestMemory
     /** Number of live 64 KiB pages (for footprint reporting). */
     size_t pageCount() const { return pages_.size(); }
 
-    /**
-     * Raw view of the direct-mapped page cache for the JIT tier, which
-     * inlines the tryReadFast/tryWriteFast probe into compiled code
-     * (way = frame & (kCacheWays-1); tags[way] == frame and no page
-     * straddle → direct access through pages[way]). The arrays live for
-     * the GuestMemory's lifetime; compiled code only reads the tags and
-     * accesses bytes through cached page pointers — misses call back
-     * into the public accessors, which fill the cache as usual.
-     */
-    struct CacheView
-    {
-        const uint64_t *tags;
-        uint8_t *const *pages;
-    };
-    CacheView
-    cacheView() const
-    {
-        return {cachedFrame_.tag, cachedPage_};
-    }
-
   private:
     static constexpr uint64_t
     offsetIn(uint64_t addr)

@@ -18,8 +18,6 @@
  *     "size": "test|sim|fpga",
  *     "meta": {"gitRev": "...", ...},             // informational only
  *     "metrics": {"<name>": <number>, ...},       // scalar headline metrics
- *     "jit": {"<counter>": N, ...},               // only when the jit
- *                                                 // dispatch tier ran
  *     "sets": [
  *       {
  *         "label": "<set label>",
@@ -116,14 +114,6 @@ class StatsSink
     /** Record a scalar headline metric (diffed by scd_report). */
     void addMetric(const std::string &name, double value);
 
-    /**
-     * Record a counter in the optional "jit" section. The section is
-     * rendered only when non-empty — i.e. when the producing run used
-     * the jit dispatch tier — so default-tier documents (and every
-     * checked-in golden) serialize byte-identically to pre-jit ones.
-     */
-    void addJitStat(const std::string &name, uint64_t value);
-
     /** Start a new point set; append points to the returned record. */
     SetRecord &addSet(const std::string &label);
 
@@ -143,7 +133,6 @@ class StatsSink
     std::string size_;
     std::map<std::string, std::string> meta_;
     std::map<std::string, double> metrics_;
-    std::map<std::string, uint64_t> jit_;
     std::vector<SetRecord> sets_;
 };
 

@@ -42,8 +42,6 @@ enum class TraceEventKind : uint8_t
     FrontendFalseHit, ///< partial-tag alias hit (pc = probe key,
                       ///< arg = resident key, cls = 1 for a JTE alias)
     FtqPrefetch,  ///< FDIP converted a BTB miss into a prefetch hit
-    JitCompile,   ///< JIT superblock compiled (pc = head, arg = code bytes)
-    JitInvalidate, ///< JIT superblock dropped by a guest text write
     NumKinds
 };
 

@@ -222,14 +222,12 @@ class FaultInjection : public ::testing::Test
 /**
  * Every registered in-plan site, when armed, must poison at least one
  * point (named in the set) while the rest of the plan completes. The
- * json-write site is export-side and covered separately below; the
- * jit-codecache site only fires on the jit dispatch tier
- * (tests/jit_tier_test.cc covers the structured failure it exists for).
+ * json-write site is export-side and covered separately below.
  */
 TEST_F(FaultInjection, EveryPlanSiteFiresAndIsContained)
 {
     for (const std::string &site : faultinj::registeredSites()) {
-        if (site == "json-write" || site == "jit-codecache")
+        if (site == "json-write")
             continue;
         SCOPED_TRACE(site);
         faultinj::arm(site, 1);

@@ -4,12 +4,14 @@
  * every guest the Fig. 7-10 grid compiles: both VMs, all 11 workloads at
  * test size, all three dispatch kinds. The image stores only the runs
  * that can be nonzero; the intern table at the segment base is reserved
- * but not stored. A load must still leave the guest with the same bytes
- * and the same resident pages as a dense copy of the whole segment.
+ * but not stored, and long zero runs of the allocations are cut out. A
+ * load must still leave the guest with the same bytes and the same
+ * resident pages as a dense copy of the whole segment.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -73,6 +75,18 @@ denseData(const GuestProgram &p)
     return dense;
 }
 
+/** Length of the longest run of zero bytes in @p bytes. */
+size_t
+longestZeroRun(const std::vector<uint8_t> &bytes)
+{
+    size_t longest = 0, run = 0;
+    for (uint8_t b : bytes) {
+        run = b == 0 ? run + 1 : 0;
+        longest = std::max(longest, run);
+    }
+    return longest;
+}
+
 /** Frames of [lo, hi) at GuestMemory's page size. */
 void
 addFrames(std::set<uint64_t> &frames, uint64_t lo, uint64_t hi)
@@ -95,6 +109,8 @@ TEST(GuestImage, SegmentsAreSortedDisjointAndSmall)
         uint64_t stored = 0;
         for (const DataSegment &seg : p.data) {
             EXPECT_FALSE(seg.bytes.empty());
+            EXPECT_LT(longestZeroRun(seg.bytes), DataImage::kMinZeroRun)
+                << "segment at " << seg.addr;
             EXPECT_GE(seg.addr, prevEnd);
             prevEnd = seg.addr + seg.bytes.size();
             stored += seg.bytes.size();
@@ -209,6 +225,33 @@ TEST(GuestImage, InternTableRangeIsReservedNotStored)
     EXPECT_EQ(segs[0].bytes.size(), 8u);
     EXPECT_EQ(segs[1].addr, tableEnd);
     EXPECT_EQ(segs[1].bytes.size(), image.end() - tableEnd);
+
+    // A zeroed allocation between two strings is cut out of the stored
+    // bytes, while a short zero run stays inside its segment.
+    uint64_t gap = image.allocate(DataImage::kMinZeroRun);
+    uint64_t second = image.internString("write");
+    image.allocate(DataImage::kMinZeroRun - 8);
+    uint64_t third = image.internString("tostring");
+    segs = image.segments();
+    ASSERT_EQ(segs.size(), 5u); // three slots, two dense runs
+    EXPECT_EQ(segs[3].addr, tableEnd);
+    EXPECT_LE(segs[3].addr + segs[3].bytes.size(), gap);
+    EXPECT_EQ(segs[4].addr, second);
+    EXPECT_EQ(segs[4].addr + segs[4].bytes.size(), image.end());
+    EXPECT_GT(third, second);
+
+    // Segments over zeros are the image byte for byte.
+    std::vector<uint8_t> loaded(image.end() - kDataBase, 0);
+    for (const DataSegment &seg : segs) {
+        EXPECT_LT(longestZeroRun(seg.bytes), DataImage::kMinZeroRun);
+        std::memcpy(loaded.data() + (seg.addr - kDataBase),
+                    seg.bytes.data(), seg.bytes.size());
+    }
+    for (uint64_t addr = kDataBase; addr + 8 <= image.end(); addr += 8) {
+        uint64_t v;
+        std::memcpy(&v, loaded.data() + (addr - kDataBase), 8);
+        ASSERT_EQ(v, image.read64(addr)) << "at " << addr;
+    }
 
     // Stores through the public writers never land in the table.
     EXPECT_DEATH(image.write64(slotAddr, 1), "out of range");
